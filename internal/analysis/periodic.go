@@ -122,11 +122,12 @@ func isPeriodic(times []time.Time) (bool, time.Duration) {
 	for i := range bins {
 		bins[i] -= mean
 	}
+	// spec holds bins 0 … n/2-1 of the (decimated) n-point spectrum.
 	spec := dft(bins)
 	// Find the dominant non-DC frequency.
 	bestK, bestP := 0, 0.0
 	totalP := 0.0
-	for k := 1; k < len(spec)/2; k++ {
+	for k := 1; k < len(spec); k++ {
 		p := cmplx.Abs(spec[k])
 		totalP += p
 		if p > bestP {
@@ -137,7 +138,7 @@ func isPeriodic(times []time.Time) (bool, time.Duration) {
 		return intervalTest(times)
 	}
 	// Spectral concentration: the peak must stand out.
-	if bestP >= 2.5*totalP/float64(len(spec)/2) {
+	if bestP >= 2.5*totalP/float64(len(spec)) {
 		period := time.Duration(float64(nBins) / float64(bestK) * float64(binWidth))
 		// Confirm with the autocorrelation at the implied lag (±1 bin to
 		// absorb jitter-induced smearing).
@@ -205,13 +206,15 @@ func intervalTest(times []time.Time) (bool, time.Duration) {
 	return false, 0
 }
 
-// dft is a direct discrete Fourier transform; n is at most 2^14 so O(n²) on
-// the reduced bins is acceptable for the analysis sizes here. For large n
-// it decimates first.
+// dft returns the low half of the discrete Fourier transform of x: bins
+// k = 0 … n/2-1, the only ones isPeriodic reads (for real input the upper
+// half mirrors them). It is a direct O(n²) sum; inputs longer than 2048
+// samples are first decimated by summing adjacent runs, and n is the
+// decimated length.
 func dft(x []float64) []complex128 {
 	n := len(x)
 	if n > 2048 {
-		// Decimate: average adjacent bins to bound the O(n²) cost.
+		// Decimate: sum runs of adjacent bins to bound the O(n²) cost.
 		factor := (n + 2047) / 2048
 		var reduced []float64
 		for i := 0; i < n; i += factor {
@@ -224,14 +227,19 @@ func dft(x []float64) []complex128 {
 		x = reduced
 		n = len(x)
 	}
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
+	out := make([]complex128, n/2)
+	for k := range out {
+		var re, im float64
 		for t := 0; t < n; t++ {
 			angle := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			sum += complex(x[t], 0) * cmplx.Exp(complex(0, angle))
+			sin, cos := math.Sincos(angle)
+			// The conversions round each product before the add, so
+			// no platform fuses them into an FMA and the sums match
+			// the complex multiply-add bit for bit.
+			re += float64(x[t] * cos)
+			im += float64(x[t] * sin)
 		}
-		out[k] = sum
+		out[k] = complex(re, im)
 	}
 	return out
 }

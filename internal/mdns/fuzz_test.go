@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"iotlan/internal/dnsmsg"
 	"iotlan/internal/lan"
 	"iotlan/internal/layers"
 	"iotlan/internal/netx"
@@ -16,11 +17,24 @@ import (
 // payload is wrapped in a real UDP/IPv4/Ethernet frame to port 5353 and fed
 // through a live Responder's full receive path (host dispatch, group
 // filtering, query handling, response generation). Nothing on that path may
-// panic or hang, whatever the payload.
+// panic or hang, whatever the payload. It also checks that the responder's
+// early exit is exact: every payload isQuery rejects is one dnsmsg.Unmarshal
+// fails on or reads as a response.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 5, '_', 'h', 'u', 'e', 0, 0, 12, 0, 1})
+	ptr := dnsmsg.Question{Name: "_hue._tcp.local", Type: dnsmsg.TypePTR, Class: dnsmsg.ClassIN}
+	f.Add((&dnsmsg.Message{Questions: []dnsmsg.Question{ptr}}).Marshal())
+	f.Add((&dnsmsg.Message{Response: true, Authority: true, Answers: []dnsmsg.Record{{
+		Name: ptr.Name, Type: dnsmsg.TypePTR, Class: dnsmsg.ClassIN, TTL: 4500,
+		Target: "Philips Hue - 685F61._hue._tcp.local",
+	}}}).Marshal())
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if !isQuery(data) {
+			if m, err := dnsmsg.Unmarshal(data); err == nil && !m.Response {
+				t.Fatalf("isQuery drops a payload that unmarshals to a query: %+v", m)
+			}
+		}
 		sched := sim.NewScheduler(1)
 		network := lan.New(sched)
 		host := stack.NewHost(network, netx.MAC{2, 0, 0, 0, 0, 1}, stack.DefaultPolicy)

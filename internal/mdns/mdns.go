@@ -65,7 +65,19 @@ func (r *Responder) Stop() {
 	r.Host.CloseUDP(Port)
 }
 
+// isQuery reports whether a payload can unmarshal to a query: it holds a
+// full DNS header and its QR bit is clear. On a discovery-chatty LAN most
+// datagrams reaching port 5353 are other devices' responses; rejecting them
+// here skips a full unmarshal whose only outcome would be an error or a
+// Response message the responder ignores.
+func isQuery(payload []byte) bool {
+	return len(payload) >= 12 && payload[2]&0x80 == 0
+}
+
 func (r *Responder) onDatagram(dg stack.Datagram) {
+	if !isQuery(dg.Payload) {
+		return
+	}
 	m, err := dnsmsg.Unmarshal(dg.Payload)
 	if err != nil || m.Response {
 		return

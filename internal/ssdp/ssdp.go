@@ -6,12 +6,14 @@ package ssdp
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"net/netip"
 	"sort"
 	"strings"
 	"time"
+	"unicode"
 
 	"iotlan/internal/netx"
 	"iotlan/internal/stack"
@@ -181,7 +183,18 @@ func (r *Responder) Start() {
 	r.Host.OpenUDP(Port, r.onDatagram)
 }
 
+// mayBeSearch reports whether Parse could return an M-SEARCH for payload:
+// the start line, after the leading white space Parse trims, must begin
+// with "M-SEARCH". Most datagrams on the SSDP group are NOTIFYs, which the
+// responder would parse in full only to discard.
+func mayBeSearch(payload []byte) bool {
+	return bytes.HasPrefix(bytes.TrimLeftFunc(payload, unicode.IsSpace), []byte("M-SEARCH"))
+}
+
 func (r *Responder) onDatagram(dg stack.Datagram) {
+	if !mayBeSearch(dg.Payload) {
+		return
+	}
 	m, err := Parse(dg.Payload)
 	if err != nil || m.Kind != "M-SEARCH" {
 		return

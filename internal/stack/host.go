@@ -97,6 +97,14 @@ type Host struct {
 	// onICMPIn lets the scanner observe ICMP responses to its probes.
 	onICMPIn func(*layers.Packet)
 
+	// rx is the receive path's decoded packet, reused for every frame so
+	// the hot multicast fan-out allocates nothing per delivery. Every
+	// handler reached from HandleFrame sees it only for the duration of
+	// the call: byte slices inside it (payloads, ICMP data) point into the
+	// network-owned frame and stay valid, but the struct itself is
+	// overwritten by the next frame.
+	rx layers.Packet
+
 	// foreignARP tracks, per sender, the last broadcast who-has for an IP
 	// other than ours — the sweep detector behind RespondARPBroadcast.
 	foreignARP map[netx.MAC]time.Time
@@ -217,15 +225,20 @@ func (h *Host) HandleFrame(frame []byte) {
 			}
 		}
 	}
-	p := layers.Decode(frame)
-	if p.Err != nil {
-		return
+	p := &h.rx
+	p.DecodeInto(frame)
+	if p.Err == nil {
+		switch {
+		case p.HasARP:
+			h.handleARP(&p.ARP, &p.Eth)
+		case p.HasIP4, p.HasIP6:
+			h.handleIP(p)
+		}
 	}
-	switch {
-	case p.HasARP:
-		h.handleARP(&p.ARP, &p.Eth)
-	case p.HasIP4, p.HasIP6:
-		h.handleIP(p)
+	if h.Net.CheckFrameOwnership {
+		// Debug mode: a handler that kept the packet past this call now
+		// reads zeros instead of whatever the next frame decodes to.
+		*p = layers.Packet{}
 	}
 }
 
@@ -512,5 +525,8 @@ func (h *Host) SendIPv4Proto(dst netip.Addr, proto uint8, payload []byte) {
 	h.sendIPv4(dst, proto, layers.RawPayload(payload))
 }
 
-// SetICMPHook registers an observer for inbound ICMP (scanner probes).
+// SetICMPHook registers an observer for inbound ICMP (scanner probes). The
+// packet is valid only during the call: the host decodes the next frame
+// into the same Packet, so fn must copy any field it keeps. Byte slices in
+// it (ICMP4.Data) point into the immutable frame and may be kept.
 func (h *Host) SetICMPHook(fn func(*layers.Packet)) { h.onICMPIn = fn }

@@ -228,6 +228,39 @@ func TestICMPEcho(t *testing.T) {
 	}
 }
 
+// TestRetainedRxPacketIsReset pins the receive packet's lifetime rule: the
+// *layers.Packet a hook sees is the host's reused receive buffer. With the
+// network's ownership checks on, the host zeroes it after each dispatch, so
+// a hook that wrongly keeps the pointer reads zeros after the next frame
+// instead of that frame's fields.
+func TestRetainedRxPacketIsReset(t *testing.T) {
+	f := newFixture()
+	f.net.CheckFrameOwnership = true
+	a, b := f.host(10), f.host(11)
+	var kept *layers.Packet
+	a.SetICMPHook(func(p *layers.Packet) {
+		if !p.HasICMP4 || p.SrcIP() != b.IPv4() {
+			t.Errorf("hook saw %s from %v during the call", p.L3Name(), p.SrcIP())
+		}
+		kept = p
+	})
+	a.Ping(b.IPv4(), 1, 1)
+	f.sched.RunFor(time.Second)
+	if kept == nil {
+		t.Fatal("no echo reply reached the ICMP hook")
+	}
+	got := false
+	a.OpenUDP(9999, func(dg Datagram) { got = true })
+	b.SendUDP(40000, a.IPv4(), 9999, []byte("next frame"))
+	f.sched.RunFor(time.Second)
+	if !got {
+		t.Fatal("next frame not delivered")
+	}
+	if kept.HasEth || kept.HasIP4 || kept.HasICMP4 || kept.HasUDP || kept.Data != nil || kept.AppPayload != nil {
+		t.Fatalf("retained packet not reset after the next frame: %s from %v", kept.L3Name(), kept.SrcIP())
+	}
+}
+
 func TestIPv6NeighborDiscovery(t *testing.T) {
 	f := newFixture()
 	a, b := f.host(10), f.host(11)
