@@ -45,7 +45,8 @@ func runSelftest(seed int64, households int) error {
 		return fmt.Errorf("in-sim listen: %w", err)
 	}
 	hs := serve.NewHTTPServer("", s.Mux())
-	go hs.Serve(l)
+	// pump.Go holds the virtual clock still until the accept loop is in.
+	pump.Go(func() { hs.Serve(l) })
 	defer hs.Close()
 
 	ds := inspector.Generate(seed, households)

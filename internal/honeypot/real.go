@@ -115,7 +115,7 @@ func (s *Server) startSSDP() error {
 		Server:   "Linux/3.14 UPnP/1.0 HoneyBridge/1.0",
 		Location: "http://0.0.0.0" + s.HTTPAddr + "/description.xml",
 	}
-	go func() {
+	fab.Go(func() {
 		buf := make([]byte, 2048)
 		for {
 			n, from, err := pc.ReadFrom(buf)
@@ -129,7 +129,7 @@ func (s *Server) startSSDP() error {
 			s.logLocked("ssdp", addrOf(from), "M-SEARCH "+m.ST())
 			pc.WriteTo(ad.Response(m.ST()), from)
 		}
-	}()
+	})
 	return nil
 }
 
@@ -145,7 +145,7 @@ func (s *Server) startHTTP() error {
 		SerialNumber: s.HP.Token, UDN: "uuid:" + s.HP.Token, DeviceType: ssdp.TargetBasic,
 	}
 	doc, _ := desc.Document()
-	go func() {
+	fab.Go(func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
@@ -169,7 +169,7 @@ func (s *Server) startHTTP() error {
 				conn.Write(body)
 			}(conn)
 		}
-	}()
+	})
 	return nil
 }
 
@@ -180,7 +180,7 @@ func (s *Server) startTelnet() error {
 		return fmt.Errorf("honeypot: telnet listen: %w", err)
 	}
 	s.track(l)
-	go func() {
+	fab.Go(func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
@@ -209,6 +209,6 @@ func (s *Server) startTelnet() error {
 				}
 			}(conn)
 		}
-	}()
+	})
 	return nil
 }

@@ -18,6 +18,11 @@ type Fabric interface {
 	Listen(network, addr string) (net.Listener, error)
 	ListenPacket(network, addr string) (net.PacketConn, error)
 	Now() time.Time
+	// Go runs fn on a new goroutine that serves the fabric — an accept or
+	// read loop. On vnet.Net the goroutine holds the virtual clock still
+	// until its first network operation, so a loop started before the
+	// simulation runs cannot miss traffic sent to it.
+	Go(fn func())
 }
 
 // System is the standard-library Fabric: real sockets and wall-clock time.
@@ -42,3 +47,6 @@ func (System) ListenPacket(network, addr string) (net.PacketConn, error) {
 
 // Now returns wall-clock time.
 func (System) Now() time.Time { return time.Now() }
+
+// Go runs fn on a plain goroutine.
+func (System) Go(fn func()) { go fn() }

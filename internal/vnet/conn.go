@@ -34,16 +34,20 @@ type ioResult struct {
 // wake are a single rendezvous.
 type waiter struct {
 	buf []byte
+	o   op
 	ch  chan ioResult
 }
 
-func newWaiter(buf []byte) *waiter { return &waiter{buf: buf, ch: make(chan ioResult, 1)} }
+// newWaiter prepares a blocking operation of the calling goroutine.
+func newWaiter(buf []byte) *waiter {
+	return &waiter{buf: buf, o: op{c: self()}, ch: make(chan ioResult, 1)}
+}
 
 // finish completes the waiter on the pump goroutine, handing out grants
 // compute tokens (1 for completions whose caller keeps running, 0 for
 // terminal ones — see the package comment).
 func (w *waiter) finish(p *Pump, n int, err error, grants int) {
-	p.grant(grants)
+	p.complete(&w.o, grants)
 	w.ch <- ioResult{n: n, err: err}
 }
 
@@ -231,7 +235,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 	}
 	w := newWaiter(b)
 	c.p.submit(func() {
-		c.p.release()
+		c.p.enter(&w.o)
 		switch {
 		case len(c.rbuf) > 0:
 			n := copy(w.buf, c.rbuf)
@@ -251,6 +255,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 		default:
 			c.rwaiters = append(c.rwaiters, w)
 			c.armReadTimer()
+			c.p.park(&w.o)
 		}
 	})
 	res := <-w.ch
@@ -263,7 +268,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 func (c *Conn) Write(b []byte) (int, error) {
 	w := newWaiter(nil)
 	c.p.submit(func() {
-		c.p.release()
+		c.p.enter(&w.o)
 		switch {
 		case c.closed || c.wclosed:
 			w.finish(c.p, 0, &net.OpError{Op: "write", Net: "tcp", Source: c.laddr, Addr: c.raddr, Err: net.ErrClosed}, 1)

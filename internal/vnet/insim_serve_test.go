@@ -136,7 +136,10 @@ func startInSimServe(t *testing.T, f *fix, cfg serve.Config) *serve.Server {
 		t.Fatalf("in-sim listen: %v", err)
 	}
 	hs := serve.NewHTTPServer("", s.Mux())
-	go hs.Serve(l)
+	// pump.Go, not a bare go statement: the accept loop holds a grant until
+	// its first Accept, so a client cannot race ahead of the server on the
+	// virtual clock however late the Go scheduler runs it.
+	f.pump.Go(func() { hs.Serve(l) })
 	t.Cleanup(func() {
 		hs.Close()
 		s.Close()
@@ -216,7 +219,11 @@ func runInSimServe(t *testing.T, ds *inspector.Dataset, workers, clients int) []
 		}))
 	}
 	var artifact []byte
-	collector := f.pump.Go(func() {
+	// A plain goroutine, not pump.Go: it blocks on the clients before its
+	// first vnet operation, so it must not start out holding a grant.
+	collector := make(chan struct{})
+	go func() {
+		defer close(collector)
 		for _, d := range dones {
 			<-d
 		}
@@ -239,7 +246,7 @@ func runInSimServe(t *testing.T, ds *inspector.Dataset, workers, clients int) []
 		if err := json.Unmarshal(body, &fl); err != nil || fl.Households != len(ds.Households) {
 			t.Errorf("fleet households %d, want %d (err %v)", fl.Households, len(ds.Households), err)
 		}
-	})
+	}()
 	f.pump.RunFor(5 * time.Minute)
 	wait(t, collector, "collector")
 	return artifact

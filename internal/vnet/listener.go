@@ -16,7 +16,10 @@ type acceptResult struct {
 	err error
 }
 
-type acceptWaiter struct{ ch chan acceptResult }
+type acceptWaiter struct {
+	o  op
+	ch chan acceptResult
+}
 
 // Listener accepts stream connections on a host port, satisfying
 // net.Listener.
@@ -53,7 +56,8 @@ func newListener(p *Pump, h *stack.Host, port uint16, rlimit int) *Listener {
 			// Two grants: the accept loop resumes, and the connection
 			// goroutine it is about to spawn gets its birth token — its
 			// compute up to the first Read is clock-frozen too.
-			l.p.grant(2)
+			l.p.complete(&w.o, 1)
+			l.p.grantBirth(w.o.c.g)
 			w.ch <- acceptResult{c: c}
 			return
 		}
@@ -69,19 +73,22 @@ func newListener(p *Pump, h *stack.Host, port uint16, rlimit int) *Listener {
 
 // Accept blocks until a handshake completes or the listener closes.
 func (l *Listener) Accept() (net.Conn, error) {
-	w := &acceptWaiter{ch: make(chan acceptResult, 1)}
+	w := &acceptWaiter{o: op{c: self(), accept: true}, ch: make(chan acceptResult, 1)}
 	l.p.submit(func() {
-		l.p.release()
+		l.p.enter(&w.o)
 		switch {
 		case len(l.backlog) > 0:
 			c := l.backlog[0]
 			l.backlog = l.backlog[1:]
-			l.p.grant(2)
+			l.p.complete(&w.o, 1)
+			l.p.grantBirth(w.o.c.g)
 			w.ch <- acceptResult{c: c}
 		case l.closed:
+			l.p.complete(&w.o, 0)
 			w.ch <- acceptResult{err: &net.OpError{Op: "accept", Net: "tcp", Addr: l.addr, Err: net.ErrClosed}}
 		default:
 			l.awaiters = append(l.awaiters, w)
+			l.p.park(&w.o)
 		}
 	})
 	res := <-w.ch

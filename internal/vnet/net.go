@@ -51,6 +51,9 @@ func (n *Net) Pump() *Pump { return n.p }
 // pump is aware of (one holding a grant or blocked in a vnet op).
 func (n *Net) Now() time.Time { return n.p.Now() }
 
+// Go runs fn as an in-sim actor (see Pump.Go), for netx.Fabric users.
+func (n *Net) Go(fn func()) { n.p.Go(fn) }
+
 // Host returns the underlying stack host.
 func (n *Net) Host() *stack.Host { return n.h }
 
@@ -94,7 +97,7 @@ func (n *Net) DialContext(ctx context.Context, network, addr string) (net.Conn, 
 		w.finish(n.p, 0, err, grants)
 	}
 	n.p.submit(func() {
-		n.p.release()
+		n.p.enter(&w.o)
 		tc := n.h.DialTCP(ip, port)
 		laddr := netip.AddrPortFrom(n.h.IPv4(), tc.LocalPort())
 		raddr := netip.AddrPortFrom(ip, port)
@@ -111,6 +114,9 @@ func (n *Net) DialContext(ctx context.Context, network, addr string) (net.Conn, 
 			}
 			finish(&net.OpError{Op: "dial", Net: network, Addr: d.c.raddr, Err: timeoutError{}}, 1)
 		})
+		if !d.done {
+			n.p.park(&w.o)
+		}
 	})
 	if done := ctx.Done(); done != nil {
 		go func() {

@@ -38,6 +38,7 @@ type packetResult struct {
 
 type packetWaiter struct {
 	buf []byte
+	o   op
 	ch  chan packetResult
 }
 
@@ -75,7 +76,7 @@ func newPacketConn(p *Pump, h *stack.Host, port uint16) *PacketConn {
 			w := pc.waiters[0]
 			pc.waiters = pc.waiters[1:]
 			n := copy(w.buf, dg.Payload)
-			p.grant(1)
+			p.complete(&w.o, 1)
 			w.ch <- packetResult{n: n, addr: net.UDPAddrFromAddrPort(netip.AddrPortFrom(dg.Src, dg.SrcPort))}
 			return
 		}
@@ -94,26 +95,30 @@ func newPacketConn(p *Pump, h *stack.Host, port uint16) *PacketConn {
 // ReadFrom blocks until a datagram, a deadline, or Close. Oversized
 // datagrams truncate into b, UDP-style.
 func (pc *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
-	w := &packetWaiter{buf: b, ch: make(chan packetResult, 1)}
+	w := &packetWaiter{buf: b, o: op{c: self()}, ch: make(chan packetResult, 1)}
 	pc.p.submit(func() {
-		pc.p.release()
+		pc.p.enter(&w.o)
 		switch {
 		case len(pc.queue) > 0:
 			dg := pc.queue[0]
 			pc.queue = pc.queue[1:]
 			n := copy(w.buf, dg.payload)
-			pc.p.grant(1)
+			pc.p.complete(&w.o, 1)
 			w.ch <- packetResult{n: n, addr: net.UDPAddrFromAddrPort(dg.from)}
 		case pc.closed:
+			pc.p.complete(&w.o, 0)
 			w.ch <- packetResult{err: &net.OpError{Op: "read", Net: "udp", Addr: pc.addr, Err: net.ErrClosed}}
 		case !pc.rdeadline.IsZero() && !pc.rdeadline.After(pc.p.sched.Now()):
-			if !pc.p.abortDeadline(pc.rdeadline) {
-				pc.p.grant(1)
+			g := 1
+			if pc.p.abortDeadline(pc.rdeadline) {
+				g = 0
 			}
+			pc.p.complete(&w.o, g)
 			w.ch <- packetResult{err: &net.OpError{Op: "read", Net: "udp", Addr: pc.addr, Err: os.ErrDeadlineExceeded}}
 		default:
 			pc.waiters = append(pc.waiters, w)
 			pc.armReadTimer()
+			pc.p.park(&w.o)
 		}
 	})
 	res := <-w.ch
@@ -225,7 +230,7 @@ func (pc *PacketConn) expireReaders() {
 		g = 0
 	}
 	for _, w := range pc.waiters {
-		pc.p.grant(g)
+		pc.p.complete(&w.o, g)
 		w.ch <- packetResult{err: &net.OpError{Op: "read", Net: "udp", Addr: pc.addr, Err: os.ErrDeadlineExceeded}}
 	}
 	pc.waiters = nil

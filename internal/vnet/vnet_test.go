@@ -411,6 +411,68 @@ func TestDeadlineExtendedWhileBlocked(t *testing.T) {
 	wait(t, cli, "client")
 }
 
+// TestHandoffTakesOverGrant is the serve worker-pool shape: a handler that
+// holds a grant hands the rest of a request to a worker over a plain
+// channel and waits. The worker's parking Read must take the handler's
+// grant over, or the clock stays frozen until the real-time valve fires —
+// which vnet_grant_resets would show.
+func TestHandoffTakesOverGrant(t *testing.T) {
+	f := newFix(1)
+	l, err := f.b.Listen("tcp", ":7010")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	work := make(chan net.Conn)
+	body := make(chan string)
+	go func() { // the worker: a plain goroutine, woken only by the channel
+		c := <-work
+		buf := make([]byte, 5)
+		if _, err := io.ReadFull(c, buf); err != nil {
+			t.Errorf("worker read: %v", err)
+		}
+		body <- string(buf)
+	}()
+	srv := f.pump.Go(func() {
+		c, err := l.Accept()
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		defer c.Close()
+		head := make([]byte, 5)
+		if _, err := io.ReadFull(c, head); err != nil {
+			t.Errorf("server read: %v", err)
+			return
+		}
+		work <- c
+		got := <-body
+		if _, err := c.Write([]byte(string(head) + got)); err != nil {
+			t.Errorf("server write: %v", err)
+		}
+	})
+	cli := f.pump.Go(func() {
+		c, err := f.a.Dial("tcp", "192.168.10.11:7010")
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		defer c.Close()
+		c.Write([]byte("hello"))
+		f.pump.Sleep(time.Second) // the worker parks waiting for the rest
+		c.Write([]byte("world"))
+		buf := make([]byte, 10)
+		if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "helloworld" {
+			t.Errorf("reply = %q, %v", buf, err)
+		}
+	})
+	f.pump.RunFor(30 * time.Second)
+	wait(t, srv, "server")
+	wait(t, cli, "client")
+	if resets := f.sched.Telemetry.Registry.Total("vnet_grant_resets"); resets != 0 {
+		t.Fatalf("vnet_grant_resets = %d: the handoff left the clock to the real-time valve", resets)
+	}
+}
+
 // TestCloseUnblocksRead closes a conn out from under a parked reader.
 func TestCloseUnblocksRead(t *testing.T) {
 	f := newFix(1)
