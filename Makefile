@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify lint bench bench2 bench3 bench4 bench5 bench6 bench7 microbench repro serve examples clean
+.PHONY: all build vet test race verify lint bench bench2 bench4 bench5 bench6 microbench repro serve examples clean
 
 all: build vet test
 
@@ -47,12 +47,6 @@ bench:
 bench2:
 	$(GO) run ./cmd/iotbench -artifacts -seed 1 -idle 45m -out BENCH_2.json
 
-# Shared-prereq memoization benchmark: the duplicated-work baseline versus
-# the memoized analysis at workers=1 and workers=4, min-of-3 reps with a GC
-# between, all variants checksummed identical. Records BENCH_3.json.
-bench3:
-	$(GO) run ./cmd/iotbench -engine -seed 1 -idle 45m -reps 3 -out BENCH_3.json
-
 # Serving benchmark: iotload self-hosts an in-process iotserve, uploads 200
 # synthesized households (wire + capture) at concurrency 16 honoring 429
 # backpressure, and records BENCH_4.json — throughput, p50/p95/p99, and the
@@ -75,17 +69,6 @@ bench5:
 bench6:
 	$(GO) run ./cmd/iotload -households 100000 -mode inspector -stream \
 		-concurrency 32 -seed 1 -dup-frac 0 -shards 8 -out BENCH_6.json
-
-# Sustained mixed read/write benchmark: 10k households re-uploaded with
-# changed contents for 3 rounds while concurrent readers time mid-ingest
-# fleet Table 2 reads — once with incremental artifact maintenance (live
-# per-shard partials folded at ingest), once with read-path recompute.
-# Gates: both servers converge to byte-identical artifacts, the incremental
-# shadow-batch self-check is clean, zero drops. Records BENCH_7.json with
-# read_speedup_* and upload_throughput_ratio.
-bench7:
-	$(GO) run ./cmd/iotload -sustained -households 10000 -rounds 3 \
-		-concurrency 8 -readers 2 -seed 1 -shards 8 -out BENCH_7.json
 
 # Run the capture-ingestion service on :8080.
 serve:

@@ -25,7 +25,9 @@
 // After the load, iotload scrapes GET /metrics and strict-parses the
 // Prometheus exposition (the same parser the obs golden tests use). A
 // malformed page or empty per-stage histograms fail the run — observability
-// regressions break the bench, not just dashboards.
+// regressions break the bench, not just dashboards. Each stage record
+// carries the exact mean; a quantile appears only once the stage holds
+// enough samples to place it (p50: 2, p95: 20, p99: 100).
 //
 // -stream switches to streamed generation for very large fleets (the
 // BENCH_6 gate runs ≥100k households): uploaders draw each household on
@@ -36,22 +38,12 @@
 // -data-dir makes it durable (WAL + checkpoints), so one command exercises
 // the full sharded/durable ingest path.
 //
-// -sustained switches to the BENCH_7 mixed read/write comparison: the same
-// churning load (every round re-uploads every household with changed
-// contents) runs against a self-hosted server twice — incremental artifact
-// maintenance on, then off — while concurrent readers time mid-ingest fleet
-// Table 2 reads. The record reports the read-latency speedup and upload
-// throughput ratio, and the run fails unless both servers converge to
-// byte-identical artifacts and the incremental shadow-batch self-check is
-// clean. See cmd/iotload/bench7.go.
-//
 // Usage:
 //
 //	iotload [-households 200] [-concurrency 16] [-seed 1]
 //	        [-mode mixed|inspector|capture] [-dup-frac 0.25] [-diurnal]
 //	        [-addr host:port] [-queue 64] [-workers N] [-shards N]
 //	        [-data-dir DIR] [-checkpoint-every 4096] [-stream]
-//	        [-sustained] [-readers 2] [-rounds 5]
 //	        [-out BENCH_5.json]
 package main
 
@@ -107,12 +99,17 @@ type benchRecord struct {
 	ChecksumSHA256 string `json:"checksum_sha256"`
 }
 
-// stageQuantiles is one pipeline stage's scraped latency distribution.
+// stageQuantiles is one pipeline stage's scraped latency distribution. Mean
+// is exact (the histogram's _sum / _count). Each quantile is interpolated
+// from the buckets and reported only when the stage has enough samples to
+// place it: quantile q needs at least ⌈1/(1−q)⌉ of them, so p50 needs 2,
+// p95 20 and p99 100. A quantile below that count is omitted, never 0.
 type stageQuantiles struct {
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
+	Count uint64   `json:"count"`
+	Mean  float64  `json:"mean"`
+	P50   *float64 `json:"p50,omitempty"`
+	P95   *float64 `json:"p95,omitempty"`
+	P99   *float64 `json:"p99,omitempty"`
 }
 
 // upload is one queued HTTP POST.
@@ -143,19 +140,8 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "self-hosted server checkpoint cadence in WAL records")
 	stream := flag.Bool("stream", false, "generate each household on demand instead of materializing the corpus (inspector mode only)")
 	diurnal := flag.Bool("diurnal", false, "spread synthetic capture frames over a resident-shaped hour-of-day distribution (capture/mixed modes)")
-	sustained := flag.Bool("sustained", false, "BENCH_7 mode: sustained mixed read/write load, incremental vs recompute read path (self-hosted only)")
-	readers := flag.Int("readers", 2, "concurrent artifact readers in -sustained mode")
-	rounds := flag.Int("rounds", 5, "re-upload rounds in -sustained mode (each round changes every household's contents)")
 	out := flag.String("out", "BENCH_5.json", "output file (\"-\" for stdout)")
 	flag.Parse()
-	if *sustained {
-		if *addr != "" {
-			fmt.Fprintln(os.Stderr, "iotload: -sustained self-hosts both configurations; -addr is not supported")
-			os.Exit(2)
-		}
-		runSustained(*seed, *households, *concurrency, *readers, *rounds, *shards, *workers, *queue, *out)
-		return
-	}
 	if *mode != "inspector" && *mode != "capture" && *mode != "mixed" {
 		fmt.Fprintf(os.Stderr, "iotload: unknown -mode %q\n", *mode)
 		os.Exit(2)
@@ -383,8 +369,8 @@ func offlineTable2(gen *inspector.Generator, seed int64, households int, stream 
 }
 
 // scrapeStageQuantiles fetches /metrics, strict-parses the exposition, and
-// interpolates p50/p95/p99 for every serve_stage_ms series from its
-// cumulative buckets — server-side truth, not client-observed latency.
+// folds every serve_stage_ms series into a stageQuantiles record —
+// server-side truth, not client-observed latency.
 func scrapeStageQuantiles(client *http.Client, base string) (map[string]stageQuantiles, error) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
@@ -402,15 +388,35 @@ func scrapeStageQuantiles(client *http.Client, base string) (map[string]stageQua
 	if err != nil {
 		return nil, fmt.Errorf("/metrics exposition invalid: %v", err)
 	}
+	out, err := stageQuantilesOf(samples)
+	if err != nil {
+		return nil, fmt.Errorf("/metrics: %v", err)
+	}
+	// Every upload, whatever its kind, passes through these stages; if one
+	// of them recorded nothing the instrumentation is broken. Kind-specific
+	// stages (pcap.decode vs inspector.decode, artifact.build) may
+	// legitimately be idle and are simply omitted from the record.
+	for _, stage := range []string{"queue.wait", "body.read", "analysis", "cache.lookup"} {
+		if out[stage].Count == 0 {
+			return nil, fmt.Errorf("/metrics: stage %q histogram empty after load", stage)
+		}
+	}
+	return out, nil
+}
+
+// stageQuantilesOf folds parsed serve_stage_ms samples into one record per
+// stage that recorded anything. Stages with a zero count are left out.
+func stageQuantilesOf(samples []obs.PromSample) (map[string]stageQuantiles, error) {
 	buckets := map[string]map[float64]float64{}
 	counts := map[string]uint64{}
+	sums := map[string]float64{}
 	for _, s := range samples {
 		stage := s.Labels["stage"]
 		switch s.Name {
 		case "serve_stage_ms_bucket":
 			le, err := obs.ParsePromFloat(s.Labels["le"])
 			if err != nil {
-				return nil, fmt.Errorf("/metrics: bad le on stage %q: %v", stage, err)
+				return nil, fmt.Errorf("bad le on stage %q: %v", stage, err)
 			}
 			if buckets[stage] == nil {
 				buckets[stage] = map[float64]float64{}
@@ -418,30 +424,34 @@ func scrapeStageQuantiles(client *http.Client, base string) (map[string]stageQua
 			buckets[stage][le] = s.Value
 		case "serve_stage_ms_count":
 			counts[stage] = uint64(s.Value)
+		case "serve_stage_ms_sum":
+			sums[stage] = s.Value
 		}
 	}
 	if len(buckets) == 0 {
-		return nil, fmt.Errorf("/metrics carries no serve_stage_ms histograms")
-	}
-	// Every upload, whatever its kind, passes through these stages; if one
-	// of them recorded nothing the instrumentation is broken. Kind-specific
-	// stages (pcap.decode vs inspector.decode, artifact.build) may
-	// legitimately be idle and are simply omitted from the record.
-	for _, stage := range []string{"queue.wait", "body.read", "analysis", "cache.lookup"} {
-		if counts[stage] == 0 {
-			return nil, fmt.Errorf("/metrics: stage %q histogram empty after load", stage)
-		}
+		return nil, fmt.Errorf("no serve_stage_ms histograms")
 	}
 	out := make(map[string]stageQuantiles, len(buckets))
 	for stage, b := range buckets {
-		if counts[stage] == 0 {
+		n := counts[stage]
+		if n == 0 {
 			continue
 		}
+		// quantile interpolates the pct-th percentile when n ≥ ⌈1/(1−q)⌉,
+		// checked in integers as n·(100−pct) ≥ 100.
+		quantile := func(pct uint64) *float64 {
+			if n*(100-pct) < 100 {
+				return nil
+			}
+			v := obs.PromHistogramQuantile(b, float64(pct)/100)
+			return &v
+		}
 		out[stage] = stageQuantiles{
-			Count: counts[stage],
-			P50:   obs.PromHistogramQuantile(b, 0.50),
-			P95:   obs.PromHistogramQuantile(b, 0.95),
-			P99:   obs.PromHistogramQuantile(b, 0.99),
+			Count: n,
+			Mean:  sums[stage] / float64(n),
+			P50:   quantile(50),
+			P95:   quantile(95),
+			P99:   quantile(99),
 		}
 	}
 	return out, nil

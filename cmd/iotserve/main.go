@@ -33,8 +33,7 @@
 //	         [-timeout 30s] [-retry-after 1s] [-cache 4096]
 //	         [-log-format text|json] [-trace=true] [-flight 256]
 //	         [-data-dir DIR] [-shards N] [-checkpoint-every 4096]
-//	         [-wal-sync group|always|none] [-incremental=true]
-//	         [-selfcheck-every N]
+//	         [-wal-sync group|always|none] [-selfcheck-every N]
 //	iotserve -selftest    # serve an in-sim fleet over the virtual LAN
 //	                      # (internal/vnet), verify artifacts, exit — no
 //	                      # sockets, ports, or network privileges needed
@@ -74,7 +73,6 @@ func main() {
 	shards := flag.Int("shards", 8, "fleet state shards (artifact bytes are shard-count invariant)")
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "checkpoint after this many WAL records (0 = only on shutdown)")
 	walSync := flag.String("wal-sync", "group", "WAL fsync policy: group (coalesced, default), always (per record), none (page cache only)")
-	incremental := flag.Bool("incremental", true, "maintain live per-shard artifact aggregates at ingest (false = recompute shards on read)")
 	selfCheckEvery := flag.Int("selfcheck-every", 0, "shadow-batch self-check after this many folds: recompute every shard from scratch and compare to the live aggregates (0 = never)")
 	flag.Parse()
 
@@ -117,7 +115,6 @@ func main() {
 		Shards:             *shards,
 		CheckpointEvery:    *checkpointEvery,
 		WALSync:            syncMode,
-		DisableIncremental: !*incremental,
 		SelfCheckEvery:     *selfCheckEvery,
 	})
 	if err != nil {

@@ -53,6 +53,14 @@ func Open(cfg Config) (*Server, error) {
 // corrupt record stops the replay at the last intact prefix — counted under
 // serve_wal_replay_truncated and logged, never fatal: that tail is exactly
 // the un-acknowledged write a crash interrupts.
+//
+// Each recovered household goes through the same fold path as live ingest
+// (foldHousehold). Replay is idempotent — households replace whole — so a
+// record captured by both a checkpoint and the racing WAL segment converges
+// to one state, and recovery rebuilds the live aggregates in lockstep with
+// the records: a restarted server holds exactly the incremental state a
+// never-crashed one would (the boot-time self-check in Open proves it
+// against a batch recompute).
 func (s *Server) recoverState() error {
 	dir := s.cfg.DataDir
 	mf, blobs, ok, err := store.LatestCheckpoint(dir)
@@ -71,7 +79,7 @@ func (s *Server) recoverState() error {
 				if err != nil {
 					return fmt.Errorf("checkpoint shard %d: %w", i, err)
 				}
-				s.applyRecovered(hh)
+				s.foldHousehold(hh)
 				applied++
 			}
 		}
@@ -89,7 +97,7 @@ func (s *Server) recoverState() error {
 		if err != nil {
 			return fmt.Errorf("wal record: %w", err)
 		}
-		s.applyRecovered(hh)
+		s.foldHousehold(hh)
 		return nil
 	})
 	if err != nil {
@@ -111,22 +119,6 @@ func (s *Server) recoverState() error {
 		s.fleetVersion.Add(1)
 	}
 	return nil
-}
-
-// applyRecovered installs one recovered household. Replay is idempotent —
-// households replace whole — so a record captured by both a checkpoint and
-// the racing WAL segment converges to one state. With incremental
-// maintenance on, replay goes through the same fold path as live ingest, so
-// recovery rebuilds the live aggregates in lockstep with the records: a
-// restarted server holds exactly the incremental state a never-crashed one
-// would (the boot-time self-check in Open proves it against a batch
-// recompute).
-func (s *Server) applyRecovered(hh *inspector.Household) {
-	if s.incremental() {
-		s.foldHousehold(hh)
-		return
-	}
-	s.installRecord(hh)
 }
 
 // walAppend logs one ingest batch, one record per household, before the

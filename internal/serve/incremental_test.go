@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"iotlan"
-	"iotlan/internal/analysis"
 	"iotlan/internal/inspector"
 	"iotlan/internal/obs"
 )
@@ -133,58 +131,6 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestPartialForSingleFlight: concurrent partialFor misses on the same stale
-// shard coalesce onto one compute. The blocking compute func holds every
-// caller in flight until released; exactly one may have run.
-func TestPartialForSingleFlight(t *testing.T) {
-	const callers = 8
-	ds := inspector.Generate(51, 6)
-	s := newTestServer(t, Config{Shards: 1, QueueCapacity: 8})
-	s.ingest(ds.Households)
-
-	var computes atomic.Int32
-	gate := make(chan struct{})
-	sa := shardedArtifact{batch: func(hhs []*inspector.Household) any {
-		computes.Add(1)
-		<-gate
-		return analysis.EntropyPartialOf(hhs, nil)
-	}} // live == nil: always the batch path, like -incremental=false
-
-	vals := make([]any, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			vals[i], _, _ = s.partialFor(s.shards[0], "flight-test", sa)
-		}(i)
-	}
-	for computes.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond) // let the rest reach the flight wait
-	close(gate)
-	wg.Wait()
-
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("%d computes ran, want exactly 1", n)
-	}
-	for i, v := range vals {
-		if v != vals[0] {
-			t.Fatalf("caller %d got a different partial than the flight leader", i)
-		}
-	}
-	misses := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "miss"))
-	waits := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "wait"))
-	hits := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "hit"))
-	if misses != 1 {
-		t.Fatalf("miss counter %d, want 1 (the flight leader)", misses)
-	}
-	if waits+hits != callers-1 {
-		t.Fatalf("waits %d + hits %d != %d followers", waits, hits, callers-1)
 	}
 }
 

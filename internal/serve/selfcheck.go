@@ -17,12 +17,8 @@ import "bytes"
 // household snapshot and byte-compares their rendering against the live
 // incremental aggregates. Returns the number of (shard, artifact)
 // comparisons that mismatched; each comparison also counts under
-// serve_selfcheck{result}. With incremental maintenance off there is
-// nothing to cross-check and it reports 0 without counting.
+// serve_selfcheck{result}.
 func (s *Server) SelfCheck() int {
-	if !s.incremental() {
-		return 0
-	}
 	mismatches := 0
 	for i, sh := range s.shards {
 		// One lock hold per shard: snapshot the records and clone the live
@@ -59,7 +55,7 @@ func (s *Server) SelfCheck() int {
 // covers their folds).
 func (s *Server) maybeSelfCheck() {
 	n := int64(s.cfg.SelfCheckEvery)
-	if n <= 0 || !s.incremental() || s.foldsSince.Load() < n {
+	if n <= 0 || s.foldsSince.Load() < n {
 		return
 	}
 	if !s.selfMu.TryLock() {

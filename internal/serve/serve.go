@@ -81,8 +81,8 @@ type Config struct {
 	// admit. Nil means no request logging.
 	Logger *slog.Logger
 	// Shards splits fleet state by household-ID hash into independently
-	// locked shards with independently cached partial aggregates (< 1 = 1).
-	// Artifact bytes are identical for any shard count.
+	// locked shards, each maintaining its own live partial aggregates
+	// (< 1 = 1). Artifact bytes are identical for any shard count.
 	Shards int
 	// DataDir, when set, makes inspector ingestion durable: a write-ahead
 	// log plus periodic checkpoints live there, replayed on boot. Build
@@ -98,12 +98,6 @@ type Config struct {
 	// them — the recovery tests compare boot-from-checkpoint against
 	// boot-from-full-WAL with it.
 	RetainWAL bool
-	// DisableIncremental turns off the live per-shard aggregates: ingest
-	// stops folding household contributions at write time and stale shard
-	// partials are batch-recomputed on read (the pre-incremental behavior,
-	// kept as the cold path and as bench7's comparison baseline). Default
-	// is incremental maintenance on.
-	DisableIncremental bool
 	// SelfCheckEvery, when > 0, shadow-recomputes every shard's batch
 	// partials after that many folded households and byte-compares the
 	// rendering against the live incremental aggregates, counting under
@@ -154,7 +148,7 @@ type householdState struct {
 	inspector   *inspector.Household
 	// contribHash is the wire content hash of the installed inspector
 	// record — the idempotence key for incremental refolds (foldHousehold).
-	// Zero when no record is installed or incremental maintenance is off.
+	// Zero when no record is installed.
 	contribHash [sha256.Size]byte
 }
 
@@ -725,26 +719,16 @@ func (s *Server) analyzeCapture(household string, records []pcap.Record) []byte 
 	return mustJSON(rep)
 }
 
-// incremental reports whether the shards maintain live merged aggregates
-// (the default; Config.DisableIncremental selects the batch-recompute read
-// path instead).
-func (s *Server) incremental() bool { return !s.cfg.DisableIncremental }
-
-// ingest installs the uploaded households' crowdsourced records. With
-// incremental maintenance on, each install folds the household's delta into
-// its shard's live aggregates — O(one household), never O(shard) — and an
-// unchanged re-upload is skipped entirely (no version bump, warm caches stay
-// warm). Only touched shards' versions move, and the fleet version moves
-// only if something actually changed.
+// ingest installs the uploaded households' crowdsourced records. Each
+// install folds the household's delta into its shard's live aggregates —
+// O(one household), never O(shard) — and an unchanged re-upload is skipped
+// entirely (no version bump, warm caches stay warm). Only touched shards'
+// versions move, and the fleet version moves only if something actually
+// changed.
 func (s *Server) ingest(hhs []*inspector.Household) []byte {
 	devices, folded := 0, 0
 	for _, hh := range hhs {
 		devices += len(hh.Devices)
-		if !s.incremental() {
-			s.installRecord(hh)
-			folded++
-			continue
-		}
 		if s.foldHousehold(hh) {
 			folded++
 			s.reg.Counter("serve_refold", "result", "folded").Inc()
@@ -765,20 +749,6 @@ func (s *Server) ingest(hhs []*inspector.Household) []byte {
 		Households []string `json:"households"`
 		Devices    int      `json:"devices"`
 	}{ids, devices})
-}
-
-// installRecord replaces a household's crowdsourced record without touching
-// live aggregates — the write path when incremental maintenance is off.
-func (s *Server) installRecord(hh *inspector.Household) {
-	sh := s.shardFor(hh.ID)
-	sh.mu.Lock()
-	st := sh.household(hh.ID)
-	if st.inspector == nil {
-		sh.inspectorN++
-	}
-	st.inspector = hh
-	sh.version++
-	sh.mu.Unlock()
 }
 
 // foldHousehold installs hh as the household's record and folds the delta

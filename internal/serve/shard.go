@@ -30,33 +30,9 @@ type fleetShard struct {
 	// liveEntropy/liveMitigations are the shard's *live* merged partials:
 	// every ingest folds the household's previous contribution out and the
 	// new one in (serve.go foldHousehold), so a read snapshots running
-	// counts instead of recomputing the shard. Maintained unless
-	// Config.DisableIncremental.
+	// counts instead of recomputing the shard.
 	liveEntropy     *analysis.EntropyPartial
 	liveMitigations *analysis.MitigationPartial
-	partials        map[string]shardPartialEntry
-	// flights single-flights the batch-recompute path per artifact: the
-	// first miss computes, concurrent misses at the same version wait for
-	// its result instead of duplicating the work.
-	flights map[string]*partialFlight
-}
-
-// shardPartialEntry caches one artifact's partial aggregate for the shard
-// state at version; any mutation of the shard invalidates it — and only it:
-// an upload leaves every other shard's cached partial warm.
-type shardPartialEntry struct {
-	version    uint64
-	households int
-	val        any
-}
-
-// partialFlight is one in-progress batch recompute. val and n are written
-// before done closes and only read after.
-type partialFlight struct {
-	version uint64
-	done    chan struct{}
-	val     any
-	n       int
 }
 
 func newShards(n int) []*fleetShard {
@@ -66,8 +42,6 @@ func newShards(n int) []*fleetShard {
 			households:      make(map[string]*householdState),
 			liveEntropy:     analysis.NewEntropyPartial(),
 			liveMitigations: analysis.NewMitigationPartial(),
-			partials:        make(map[string]shardPartialEntry),
-			flights:         make(map[string]*partialFlight),
 		}
 	}
 	return shards
@@ -122,14 +96,12 @@ func (sh *fleetShard) subContrib(c *analysis.HouseholdPartial) {
 }
 
 // shardedArtifact describes one artifact served by per-shard partial merge:
-// how to snapshot the live incremental aggregate, and how to recompute the
-// partial from a household snapshot (the cold path — -incremental=false —
-// and the self-check's shadow).
+// how to snapshot the live incremental aggregate (the read path), and how to
+// recompute the partial from a household snapshot (the self-check's oracle).
 type shardedArtifact struct {
 	batch func([]*inspector.Household) any
 	// live clones the shard's incrementally maintained aggregate. Caller
-	// holds sh.mu. Nil means the artifact has no live form and always takes
-	// the batch path (tests use this to exercise the single-flight).
+	// holds sh.mu.
 	live func(*fleetShard) any
 }
 
@@ -168,57 +140,15 @@ func renderSharded(name string, parts []any) iotlan.Result {
 	panic("serve: renderSharded of unknown artifact " + name)
 }
 
-// partialFor returns the shard's partial aggregate for one artifact plus the
-// shard version the value corresponds to.
-//
-// With incremental maintenance on, a stale entry is refreshed by *cloning*
-// the live aggregate under the shard lock — a counter copy, no re-extraction
-// — so the cache check and store are one critical section and recomputation
-// cannot be duplicated by construction. The batch fallback (cold path when
-// incremental maintenance is off) snapshots the households and recomputes
-// outside the lock; concurrent misses at the same version coalesce onto a
-// single flight — previously both ran compute and the laggard's store
-// silently won, wasting a full shard recompute per racing reader.
-func (s *Server) partialFor(sh *fleetShard, name string, sa shardedArtifact) (any, int, uint64) {
+// partialFor snapshots the shard's live partial aggregate for one artifact
+// plus the household count and shard version it corresponds to. The clone
+// is a counter copy taken under the shard lock, so value, count and version
+// are one consistent state; the whole-read memo (fleetMemo, labelled with
+// the observed version vector) is the only read cache.
+func (sh *fleetShard) partialFor(sa shardedArtifact) (any, int, uint64) {
 	sh.mu.Lock()
-	v := sh.version
-	if e, ok := sh.partials[name]; ok && e.version == v {
-		sh.mu.Unlock()
-		s.reg.Counter("serve_shard_partials", "result", "hit").Inc()
-		return e.val, e.households, v
-	}
-	if sa.live != nil && s.incremental() {
-		val := sa.live(sh)
-		n := sh.inspectorN
-		sh.partials[name] = shardPartialEntry{version: v, households: n, val: val}
-		sh.mu.Unlock()
-		s.reg.Counter("serve_shard_partials", "result", "miss").Inc()
-		return val, n, v
-	}
-	if f, ok := sh.flights[name]; ok && f.version == v {
-		sh.mu.Unlock()
-		s.reg.Counter("serve_shard_partials", "result", "wait").Inc()
-		<-f.done
-		return f.val, f.n, f.version
-	}
-	f := &partialFlight{version: v, done: make(chan struct{})}
-	sh.flights[name] = f
-	hhs := sh.inspectorSnapshot()
-	sh.mu.Unlock()
-	s.reg.Counter("serve_shard_partials", "result", "miss").Inc()
-	f.val, f.n = sa.batch(hhs), len(hhs)
-	sh.mu.Lock()
-	if sh.flights[name] == f {
-		delete(sh.flights, name)
-	}
-	// A racing ingest may have bumped the version mid-compute; never clobber
-	// a fresher entry with this older snapshot.
-	if e, ok := sh.partials[name]; !ok || e.version < v {
-		sh.partials[name] = shardPartialEntry{version: v, households: f.n, val: f.val}
-	}
-	sh.mu.Unlock()
-	close(f.done)
-	return f.val, f.n, v
+	defer sh.mu.Unlock()
+	return sa.live(sh), sh.inspectorN, sh.version
 }
 
 // runShardedArtifact serves table2/mitigations by merging per-shard partial
@@ -251,7 +181,7 @@ func (s *Server) runShardedArtifact(ctx context.Context, a iotlan.Artifact, sa s
 		ver uint64
 	}
 	contribs := engine.Map(s.cfg.Workers, len(s.shards), func(i int) contribution {
-		val, n, ver := s.partialFor(s.shards[i], a.Name, sa)
+		val, n, ver := s.shards[i].partialFor(sa)
 		return contribution{val, n, ver}
 	})
 	households := 0

@@ -163,38 +163,3 @@ func TestShardInvariance(t *testing.T) {
 		}
 	}
 }
-
-// TestShardPartialInvalidation: an upload into one shard invalidates only
-// that shard's cached partial — the others answer the next artifact read
-// from cache. This is the read-time-merge memoization contract.
-func TestShardPartialInvalidation(t *testing.T) {
-	const households = 32
-	ds := inspector.Generate(33, households)
-	s := newTestServer(t, Config{Workers: 2, Shards: 8, QueueCapacity: households})
-	ingestFleet(t, s, ds.Households)
-
-	fetchArtifact(t, s, "table2") // warm every shard partial
-	missesAfterWarm := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "miss"))
-	if missesAfterWarm != 8 {
-		t.Fatalf("warm pass computed %d partials, want 8", missesAfterWarm)
-	}
-
-	// Re-upload one household (changed bytes so the result cache misses):
-	// exactly one shard moves.
-	hh := ds.Households[0]
-	clone := *hh
-	clone.Devices = hh.Devices[:len(hh.Devices)-1]
-	if w := do(s, "POST", "/v1/ingest/inspector", wireBody(t, &clone)); w.Code != http.StatusOK {
-		t.Fatalf("re-upload: %d", w.Code)
-	}
-	fetchArtifact(t, s, "table2")
-	misses := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "miss"))
-	hits := s.reg.CounterValue(obs.Key("serve_shard_partials", "result", "hit"))
-	if misses != missesAfterWarm+1 {
-		t.Fatalf("recompute touched %d shards, want 1 (misses %d -> %d)",
-			misses-missesAfterWarm, missesAfterWarm, misses)
-	}
-	if hits != 7 {
-		t.Fatalf("warm shards answered %d hits, want 7", hits)
-	}
-}

@@ -103,12 +103,6 @@ type Study struct {
 	// polluted by later scan/app probe traffic, matching §3.1's separation.
 	passiveLen int
 
-	// sharePrereqs guards the shared-prerequisite memoization (decode-once
-	// index, communication graph, identifier extraction). It is on by
-	// default; WithoutSharedPrereqs disables it so benchmarks can measure
-	// the duplicated-work baseline the memoization replaced.
-	sharePrereqs bool
-
 	// passiveIdx is the decode-once packet index over the passive capture:
 	// every record's layers parsed exactly once, then shared read-only by all
 	// artifacts. Built lazily on first PassiveIndex call.
@@ -163,14 +157,6 @@ func WithLabProfiles(profiles []*device.Profile) Option {
 	return func(s *Study) { s.labProfiles = profiles }
 }
 
-// WithoutSharedPrereqs disables the shared-prerequisite memoization: every
-// PassiveIndex/PassiveGraph/ExtractedIdentifiers call rebuilds from scratch
-// instead of reusing a cached result. Output is identical either way (the
-// builds are deterministic); only wall time changes. This exists so
-// cmd/iotbench can measure the duplicated-work baseline the memoization
-// replaced — it is not useful in production.
-func WithoutSharedPrereqs() Option { return func(s *Study) { s.sharePrereqs = false } }
-
 // New builds a study with the paper-equivalent defaults scaled to simulation
 // time, then applies options.
 func New(seed int64, opts ...Option) *Study {
@@ -181,7 +167,6 @@ func New(seed int64, opts ...Option) *Study {
 		Households:   3860,
 		AppsToRun:    0,
 		Profiler:     obs.NewProfiler(),
-		sharePrereqs: true,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -257,23 +242,12 @@ func (s *Study) RunPassive() {
 // share the cached parse. The index is immutable once built.
 func (s *Study) PassiveIndex() *pcap.Index {
 	s.RunPassive()
-	if !s.sharePrereqs {
-		// Unshared mode: rebuild per call, store nothing (so concurrent
-		// artifacts never share — and never race on — a cached build).
-		return s.buildIndex()
-	}
-	s.idxOnce.Do(func() { s.passiveIdx = s.buildIndex() })
+	s.idxOnce.Do(func() {
+		start := time.Now()
+		s.passiveIdx = pcap.NewIndex(s.Lab.Capture.All[:s.passiveLen], s.Workers)
+		s.profilePrereq("index", start, uint64(s.passiveIdx.Len()))
+	})
 	return s.passiveIdx
-}
-
-func (s *Study) buildIndex() *pcap.Index {
-	start := time.Now()
-	idx := pcap.NewIndex(s.Lab.Capture.All[:s.passiveLen], s.Workers)
-	if s.Profiler == nil {
-		s.Profiler = obs.NewProfiler()
-	}
-	s.Profiler.Add("index", time.Since(start), uint64(idx.Len()), 0)
-	return idx
 }
 
 // PassiveGraph returns the device-to-device communication graph over the
@@ -282,32 +256,21 @@ func (s *Study) buildIndex() *pcap.Index {
 // graph from the full record set — the duplicated work behind the BENCH_2
 // parallel regression.
 func (s *Study) PassiveGraph() *analysis.Graph {
-	if !s.sharePrereqs {
-		return s.buildGraph()
-	}
-	s.graphOnce.Do(func() { s.graph = s.buildGraph() })
+	s.graphOnce.Do(func() {
+		start := time.Now()
+		s.graph = analysis.BuildGraph(s.PassiveRecords(), s.Lab.Devices)
+		s.profilePrereq("graph", start, uint64(len(s.graph.Edges)))
+	})
 	return s.graph
 }
 
-func (s *Study) buildGraph() *analysis.Graph {
-	start := time.Now()
-	g := analysis.BuildGraph(s.PassiveRecords(), s.Lab.Devices)
+// profilePrereq records one memoized prerequisite build in the Profiler; its
+// Calls count is how often the build actually ran.
+func (s *Study) profilePrereq(name string, start time.Time, items uint64) {
 	if s.Profiler == nil {
 		s.Profiler = obs.NewProfiler()
 	}
-	s.Profiler.Add("graph", time.Since(start), uint64(len(g.Edges)), 0)
-	return g
-}
-
-// ResetAnalysisCaches drops the memoized analysis prerequisites (decode-once
-// index, communication graph, identifier extraction) so the next consumer
-// rebuilds them. Pipeline outputs (capture, scans, findings, inspector) are
-// untouched. Benchmarks use this to time repeated analysis passes over one
-// simulation; results are unchanged because the builds are deterministic.
-func (s *Study) ResetAnalysisCaches() {
-	s.passiveIdx, s.idxOnce = nil, sync.Once{}
-	s.identifiers, s.idsOnce = nil, sync.Once{}
-	s.graph, s.graphOnce = nil, sync.Once{}
+	s.Profiler.Add(name, time.Since(start), items, 0)
 }
 
 // PassiveRecords returns the capture up to the end of the passive phase,
@@ -453,21 +416,12 @@ func (s *Study) RunInspector() {
 // Table 2 and the mitigation sweep.
 func (s *Study) ExtractedIdentifiers() *analysis.ExtractedIdentifiers {
 	s.RunInspector()
-	if !s.sharePrereqs {
-		return s.buildIdentifiers()
-	}
-	s.idsOnce.Do(func() { s.identifiers = s.buildIdentifiers() })
+	s.idsOnce.Do(func() {
+		start := time.Now()
+		s.identifiers = analysis.ExtractIdentifiers(s.Inspector, s.Workers)
+		s.profilePrereq("identifiers", start, uint64(s.Households))
+	})
 	return s.identifiers
-}
-
-func (s *Study) buildIdentifiers() *analysis.ExtractedIdentifiers {
-	start := time.Now()
-	ids := analysis.ExtractIdentifiers(s.Inspector, s.Workers)
-	if s.Profiler == nil {
-		s.Profiler = obs.NewProfiler()
-	}
-	s.Profiler.Add("identifiers", time.Since(start), uint64(s.Households), 0)
-	return ids
 }
 
 // RunAll executes every pipeline.

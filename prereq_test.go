@@ -6,42 +6,42 @@ import (
 	"time"
 )
 
-// The shared-prerequisite memoization (decode-once index, communication
-// graph, identifier extraction) must be invisible in output: a study with the
-// caches disabled rebuilds everything per artifact yet renders byte-identical
-// results, and dropping the caches mid-study changes nothing on the next
-// pass.
-func TestUnsharedPrereqsIdenticalOutput(t *testing.T) {
+// The shared analysis prerequisites (decode-once index, communication
+// graph, identifier extraction) are memoized per Study: however many
+// artifacts consume them, at any worker count and across repeated passes,
+// each is built exactly once, and a repeated pass renders the same bytes.
+// A regression to per-artifact rebuilds shows up as Calls > 1.
+func TestPrereqsBuiltOncePerStudy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two full studies")
+		t.Skip("runs a full study")
 	}
-	opts := []Option{
-		WithIdleDuration(2 * time.Minute),
+	s := New(5,
+		WithIdleDuration(2*time.Minute),
 		WithInteractions(8),
 		WithHouseholds(60),
 		WithApps(6),
-		WithWorkers(1),
+		WithWorkers(4),
+	)
+	first := s.Everything()
+	second := s.Everything()
+
+	calls := map[string]int{}
+	for _, p := range s.Profiler.Phases() {
+		calls[p.Name] = p.Calls
 	}
-	shared := New(5, opts...)
-	unshared := New(5, append(opts, WithoutSharedPrereqs())...)
-
-	a := shared.Everything()
-	b := unshared.Everything()
-	compareResults(t, "unshared", a, b)
-
-	shared.ResetAnalysisCaches()
-	compareResults(t, "post-reset", a, shared.Everything())
-}
-
-func compareResults(t *testing.T, label string, want, got []Result) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	for _, name := range []string{"index", "graph", "identifiers"} {
+		if calls[name] != 1 {
+			t.Errorf("prerequisite %q built %d times, want 1", name, calls[name])
+		}
 	}
-	for i := range want {
-		if want[i].ID != got[i].ID || want[i].Rendered != got[i].Rendered ||
-			!reflect.DeepEqual(want[i].Metrics, got[i].Metrics) {
-			t.Fatalf("%s: artifact %q diverged from the memoized run", label, want[i].ID)
+
+	if len(first) != len(second) {
+		t.Fatalf("second pass: %d results, want %d", len(second), len(first))
+	}
+	for i := range first {
+		if first[i].ID != second[i].ID || first[i].Rendered != second[i].Rendered ||
+			!reflect.DeepEqual(first[i].Metrics, second[i].Metrics) {
+			t.Fatalf("second pass: artifact %q diverged from the first", first[i].ID)
 		}
 	}
 }
