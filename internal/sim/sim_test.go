@@ -255,8 +255,49 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 			s.RunFor(time.Millisecond)
 		}
 	})
+	// SameInstant is the port sweep's shape: 65,536 events queued at one
+	// instant (one SYN delivery per port), then drained.
+	b.Run("SameInstant", func(b *testing.B) {
+		const n = 1 << 16
+		s := NewScheduler(1)
+		r := &benchRunner{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at := s.Now().Add(250 * time.Microsecond)
+			for j := 0; j < n; j++ {
+				s.AtRunner("bench", at, r)
+			}
+			s.RunFor(time.Millisecond)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+	})
+	// Jittered is the idle chatter's shape: 4,096 recurring timers at
+	// distinct instants, each dispatch rescheduling its timer at a jittered
+	// delay. One op is one dispatch plus one schedule.
+	b.Run("Jittered", func(b *testing.B) {
+		s := NewScheduler(1)
+		for i := 0; i < 4096; i++ {
+			r := &jitterRunner{s: s}
+			s.AfterRunner("bench", r.delay(), r)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Step(s.Now().Add(time.Hour))
+		}
+	})
 }
 
 type benchRunner struct{ fired int }
 
 func (r *benchRunner) Fire() { r.fired++ }
+
+// jitterRunner reschedules itself 1 ms to 1 s after each firing.
+type jitterRunner struct{ s *Scheduler }
+
+func (r *jitterRunner) delay() time.Duration {
+	return time.Millisecond + time.Duration(r.s.Rand().Int63n(int64(time.Second)))
+}
+
+func (r *jitterRunner) Fire() { r.s.AfterRunner("bench", r.delay(), r) }

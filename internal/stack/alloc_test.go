@@ -10,6 +10,7 @@ package stack
 import (
 	"net/netip"
 	"testing"
+	"time"
 
 	"iotlan/internal/dnsmsg"
 	"iotlan/internal/layers"
@@ -119,5 +120,36 @@ func BenchmarkHostReceive(b *testing.B) {
 				h.HandleFrame(c.frame)
 			}
 		})
+	}
+}
+
+// synProbeAllocs is the allocation count of one SYN probe round trip.
+const synProbeAllocs = 17
+
+// TestSynProbeAllocs pins the allocations of one SYN probe to a closed port,
+// round trip included: the probe conn, the SYN and RST frames and the
+// target's throwaway RST conn. The 3 s reaper rides a Runner on the probe
+// conn, so it adds no closure and no Timer.
+func TestSynProbeAllocs(t *testing.T) {
+	f := newFixture()
+	a, b := f.host(10), f.host(11)
+	closed := 0
+	cb := func(open bool) {
+		if !open {
+			closed++
+		}
+	}
+	probe := func() {
+		a.SynProbe(b.IPv4(), 81, cb)
+		f.sched.RunFor(5 * time.Second)
+	}
+	probe() // resolve ARP, warm the event and bucket pools and the conn table
+	avg := testing.AllocsPerRun(100, probe)
+	t.Logf("SynProbe round trip = %.2f allocs/op", avg)
+	if avg > synProbeAllocs {
+		t.Fatalf("SynProbe round trip = %.2f allocs/op, want ≤%d", avg, synProbeAllocs)
+	}
+	if closed != 102 {
+		t.Fatalf("%d probes reported closed, want 102", closed)
 	}
 }

@@ -280,12 +280,20 @@ func (h *Host) SynProbe(dst netip.Addr, port uint16, cb func(open bool)) {
 	c.seq++
 	// Reap silent probes so the conn table doesn't grow across a 65535-port
 	// sweep of a filtered host.
-	key := c.key
-	h.Sched.AfterTagged("stack", 3*time.Second, func() {
-		if cur, ok := h.tcpConns[key]; ok && cur == c {
-			delete(h.tcpConns, key)
-		}
-	})
+	h.Sched.AfterRunner("stack", 3*time.Second, (*probeReaper)(c))
+}
+
+// probeReaper is a probe conn seen as the Runner that reaps it: the pointer
+// conversion gives every probe its reaper without a closure or a Timer.
+type probeReaper TCPConn
+
+// Fire drops the probe from its host's conn table unless a verdict already
+// did, or a newer conn took its key.
+func (r *probeReaper) Fire() {
+	c := (*TCPConn)(r)
+	if cur, ok := c.host.tcpConns[c.key]; ok && cur == c {
+		delete(c.host.tcpConns, c.key)
+	}
 }
 
 func (h *Host) handleTCPConn(c *TCPConn, p *layers.Packet) {

@@ -1,6 +1,9 @@
 package iotlan
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,6 +132,10 @@ func TestHeadlineShapes(t *testing.T) {
 	}
 }
 
+// wantPcapsSHA256 is the SHA-256 over the sorted per-MAC pcap file names and
+// contents that WritePcaps produces for the shared seed-7 study.
+const wantPcapsSHA256 = "ceab3ae15daa383f35cc0d69a97f63b64777adeff2b386b95a0d4e38f88c304f"
+
 func TestWritePcaps(t *testing.T) {
 	s := study(t)
 	dir := filepath.Join(t.TempDir(), "pcaps")
@@ -142,10 +149,20 @@ func TestWritePcaps(t *testing.T) {
 	if len(entries) < 90 {
 		t.Fatalf("wrote %d pcap files, want ≥90 (one per MAC)", len(entries))
 	}
-	for _, e := range entries {
+	h := sha256.New()
+	for _, e := range entries { // ReadDir sorts by name
 		if !strings.HasSuffix(e.Name(), ".pcap") {
 			t.Fatalf("unexpected file %s", e.Name())
 		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", e.Name(), len(data))
+		h.Write(data)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantPcapsSHA256 {
+		t.Fatalf("per-MAC pcaps hash %s, want %s", got, wantPcapsSHA256)
 	}
 }
 
